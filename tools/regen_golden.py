@@ -1,20 +1,23 @@
 """Regenerate the golden regression fixtures under tests/golden/.
 
-Run:  python tools/regen_golden.py [--check] [--only base|cpistack]
+Run:  python tools/regen_golden.py [--check] [--only base|cpistack|corpus]
 
 Regenerates, deterministically, from the current model:
 
 - ``tests/golden/base_config.json``  — pinned summary statistics
   (tests/test_golden_results.py);
 - ``tests/golden/cpi_stacks.json``   — pinned CPI-stack attribution
-  (tests/test_golden_cpistacks.py).
+  (tests/test_golden_cpistacks.py);
+- ``tests/golden/engine_corpus.json`` — the core engine's complete
+  output on every driver (tests/test_engine_corpus.py).
 
 ``--check`` writes nothing: it exits non-zero if a regenerated file
 would differ from what is on disk, printing a unified diff — the same
 comparison the tests make, usable as a quick pre-commit gate.
 
 This is equivalent to ``REPRO_UPDATE_GOLDEN=1 pytest
-tests/test_golden_results.py tests/test_golden_cpistacks.py`` but
+tests/test_golden_results.py tests/test_golden_cpistacks.py
+tests/test_engine_corpus.py`` but
 importable, diffable, and independent of pytest collection order.
 """
 
@@ -29,6 +32,9 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 
+FIXTURES = ("base", "cpistack", "corpus")
+
+
 def _render(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -37,8 +43,10 @@ def regenerate(name: str) -> "tuple[Path, str]":
     """(path, rendered JSON) for one golden file, from the current model."""
     if name == "base":
         import test_golden_results as module
-    else:
+    elif name == "cpistack":
         import test_golden_cpistacks as module
+    else:
+        import test_engine_corpus as module
     return module.GOLDEN_PATH, _render(module.compute_current())
 
 
@@ -49,12 +57,12 @@ def main(argv=None) -> int:
         help="diff against the files on disk instead of rewriting them",
     )
     parser.add_argument(
-        "--only", choices=("base", "cpistack"), default=None,
+        "--only", choices=FIXTURES, default=None,
         help="regenerate just one fixture",
     )
     args = parser.parse_args(argv)
 
-    names = [args.only] if args.only else ["base", "cpistack"]
+    names = [args.only] if args.only else list(FIXTURES)
     dirty = 0
     for name in names:
         path, fresh = regenerate(name)
