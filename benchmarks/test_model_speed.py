@@ -26,61 +26,52 @@ BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_observability.json"
 
 CORE_SPEED_JSON = pathlib.Path(__file__).parent / "BENCH_core_speed.json"
 
-#: Interleaved repetitions per engine; the best of each is recorded so
-#: one OS scheduling hiccup cannot sink a leg.
+#: Repetitions per profile; the best is recorded so one OS scheduling
+#: hiccup cannot sink a row.
 SPEED_REPS = 3
 
-#: Minimum fast/reference speedup on TPC-C.  The CI speed-smoke job
-#: leaves the default; set ``REPRO_SPEED_FLOOR=0`` to record numbers
-#: without gating (e.g. on a heavily loaded workstation).
-SPEED_FLOOR = float(os.environ.get("REPRO_SPEED_FLOOR", "2.0"))
+#: Floor on the TPC-C core-loop speed as a multiple of the paper's
+#: 7.8 K instructions/s.  The default sits between the two engines this
+#: model used to have, measured on one 2-CPU container at
+#: ``REPRO_BENCH_SCALE=0.5``: the retired reference loop ran 1.9-2.3x
+#: and the current loop 3.2-4.9x (see EXPERIMENTS.md §2.1).  Set
+#: ``REPRO_SPEED_FLOOR=0`` to record numbers without gating (e.g. on a
+#: heavily loaded workstation).
+SPEED_FLOOR = float(os.environ.get("REPRO_SPEED_FLOOR", "2.75"))
 
 
 def test_core_engine_speed():
-    """Reference vs fast engine IPS per profile -> BENCH_core_speed.json.
+    """Core-loop IPS per profile vs the paper's model -> BENCH_core_speed.json.
 
-    Both engines run the same pre-generated traces; repetitions are
-    interleaved (ref, fast, ref, fast, ...) so slow-machine drift hits
-    both legs evenly, and the best repetition per engine is recorded —
-    the usual benchmarking convention for throughput numbers.  The
-    TPC-C row also gates: the fast engine must hold the CI floor.
+    ``sim_speed`` times only the core loop (warm-up excluded), the
+    quantity the paper's 7.8 K instructions/s describes.  The TPC-C row
+    also gates against the floor.
     """
     timed = max(5_000, int(20_000 * conftest.SCALE))
     warm = max(10_000, int(30_000 * conftest.SCALE))
-    reference = PerformanceModel(base_config(), engine="reference")
-    fast = PerformanceModel(base_config(), engine="fast")
+    model = PerformanceModel(base_config())
 
     profiles = {}
     for workload in standard_workloads(warm=warm, timed=timed):
         trace = workload.trace()
-        regions = workload.regions()
-        kwargs = dict(warmup_fraction=workload.warmup_fraction, regions=regions)
-        best = {"reference": 0.0, "fast": 0.0}
-        for _ in range(SPEED_REPS):
-            for name, model in (("reference", reference), ("fast", fast)):
-                result = model.run(trace, **kwargs)
-                if result.sim_speed > best[name]:
-                    best[name] = result.sim_speed
+        kwargs = dict(
+            warmup_fraction=workload.warmup_fraction, regions=workload.regions()
+        )
+        best = max(model.run(trace, **kwargs).sim_speed for _ in range(SPEED_REPS))
         profiles[workload.name] = {
-            "reference_ips": round(best["reference"], 1),
-            "fast_ips": round(best["fast"], 1),
-            "fast_vs_reference": round(best["fast"] / best["reference"], 3),
-            "reference_vs_paper": round(
-                best["reference"] / PAPER_MODEL_SPEED_IPS, 3
-            ),
-            "fast_vs_paper": round(best["fast"] / PAPER_MODEL_SPEED_IPS, 3),
+            "ips": round(best, 1),
+            "vs_paper": round(best / PAPER_MODEL_SPEED_IPS, 3),
         }
         print(
-            f"{workload.name}: reference {best['reference']:,.0f} ips, "
-            f"fast {best['fast']:,.0f} ips "
-            f"({profiles[workload.name]['fast_vs_reference']:.2f}x)"
+            f"{workload.name}: {best:,.0f} ips "
+            f"({profiles[workload.name]['vs_paper']:.2f}x the paper's model)"
         )
 
     payload = {
         "paper_model_ips": PAPER_MODEL_SPEED_IPS,
-        "reps_per_backend": SPEED_REPS,
+        "reps_per_profile": SPEED_REPS,
         "timed_instructions": timed,
-        "ci_floor_tpcc_speedup": SPEED_FLOOR,
+        "floor_tpcc_vs_paper": SPEED_FLOOR,
         "profiles": profiles,
     }
     CORE_SPEED_JSON.write_text(
@@ -88,9 +79,9 @@ def test_core_engine_speed():
     )
     print(f"recorded in {CORE_SPEED_JSON.name}")
 
-    tpcc_speedup = profiles["TPC-C"]["fast_vs_reference"]
-    assert tpcc_speedup >= SPEED_FLOOR, (
-        f"fast engine {tpcc_speedup:.2f}x reference on TPC-C, "
+    tpcc = profiles["TPC-C"]["vs_paper"]
+    assert tpcc >= SPEED_FLOOR, (
+        f"TPC-C core loop at {tpcc:.2f}x the paper's 7.8 K ips, "
         f"floor {SPEED_FLOOR}x"
     )
 

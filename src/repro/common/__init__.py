@@ -1,8 +1,7 @@
 """Common substrate shared by every simulator subsystem.
 
 This package holds the pieces that are not specific to any one model:
-error types, deterministic random-number helpers, unit conversions, and a
-small event queue used by the bus and memory-controller models.
+error types, deterministic random-number helpers and unit conversions.
 """
 
 from repro.common.errors import (

@@ -40,12 +40,19 @@ class ReservationStation:
         #: Earliest future cycle an entry becomes dispatchable (scan hint
         #: for the engine's idle-cycle jump); None when unknown.
         self.next_eligible: Optional[int] = None
+        #: False while the last selection scan found nothing and no
+        #: entry's readiness has changed since (the core's dispatch memo).
+        self.dirty = True
 
     def has_space(self) -> bool:
         if len(self.entries) >= self.capacity:
             self.full_stalls += 1
             return False
         return True
+
+    def station_for_insert(self) -> Optional["ReservationStation"]:
+        """This station if it has space, else None (cf. StationGroup)."""
+        return self if self.has_space() else None
 
     def insert(self, uop: Uop) -> None:
         if len(self.entries) >= self.capacity:
@@ -139,13 +146,17 @@ class StationGroup:
         self._next_alloc = 0
 
     def station_for_insert(self) -> Optional[ReservationStation]:
-        """Round-robin-least-occupied buffer with space, or None."""
-        candidates = [station for station in self.stations if len(station.entries) < station.capacity]
-        if not candidates:
+        """Least-occupied buffer with space (ties to the earlier), or None."""
+        best: Optional[ReservationStation] = None
+        best_occupancy = 0
+        for station in self.stations:
+            occupancy = len(station.entries)
+            if occupancy < station.capacity and (best is None or occupancy < best_occupancy):
+                best = station
+                best_occupancy = occupancy
+        if best is None:
             for station in self.stations:
                 station.full_stalls += 1
-            return None
-        best = min(candidates, key=lambda station: (station.occupancy(), station.name))
         return best
 
     def total_occupancy(self) -> int:

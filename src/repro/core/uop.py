@@ -36,9 +36,11 @@ class Uop:
     __slots__ = (
         "seq",
         "record",
+        "op",
         "state",
         "dest_kind",
         "producers",
+        "consumers",
         "waiters",
         "unconfirmed",
         "station",
@@ -46,6 +48,7 @@ class Uop:
         "dispatch_cycle",
         "earliest_dispatch",
         "result_ready",
+        "ready_lb",
         "done_cycle",
         "epoch",
         "replays",
@@ -56,20 +59,37 @@ class Uop:
         "decode_cycle",
         "is_load",
         "is_store",
+        "is_branch",
         "commit_cycle",
         "mem_level",
     )
 
     def __init__(self, seq: int, record: TraceRecord, decode_cycle: int) -> None:
+        #: Bumped on every cancellation; stale events carry old epochs.
+        self.epoch = 0
+        self.reset(seq, record, decode_cycle)
+
+    def reset(self, seq: int, record: TraceRecord, decode_cycle: int) -> None:
+        """(Re)initialise as a freshly decoded instruction.
+
+        The core recycles committed µop objects through this.  The
+        ``epoch`` is deliberately kept: it only ever increases, so events
+        and waiter registrations of an earlier incarnation stay stale.
+        """
+        op = record.op
         self.seq = seq
         self.record = record
+        self.op = op
         self.state = UopState.WAITING
         #: "int" / "fp" / "cc" / None — which rename pool the dest uses.
         self.dest_kind: Optional[str] = None
         #: Producer uops for each source still in flight at decode.
         self.producers: Tuple["Uop", ...] = ()
-        #: Younger uops that dispatched against this uop's predicted result.
-        self.waiters: List["Uop"] = []
+        #: Younger uops that list this one among their producers.
+        self.consumers: List["Uop"] = []
+        #: (uop, epoch) of younger uops that dispatched against this
+        #: uop's predicted result.
+        self.waiters: List[Tuple["Uop", int]] = []
         #: Count of this uop's producers that are still unconfirmed.
         self.unconfirmed = 0
         #: Reservation station this uop was allocated into.
@@ -80,10 +100,11 @@ class Uop:
         self.earliest_dispatch = 0
         #: Cycle the result is available to dependents (FAR_FUTURE until known).
         self.result_ready = FAR_FUTURE
+        #: Earliest cycle at which the producers are speculatively ready,
+        #: as of their current timing (maintained by the core).
+        self.ready_lb = 0
         #: Cycle execution finishes and the uop can commit.
         self.done_cycle = FAR_FUTURE
-        #: Bumped on every cancellation; stale events carry old epochs.
-        self.epoch = 0
         self.replays = 0
         #: True when dispatched against an unconfirmed producer.
         self.speculative = False
@@ -92,22 +113,14 @@ class Uop:
         self.lsq_index = -1
         self.mispredicted = False
         self.decode_cycle = decode_cycle
-        op = record.op
         self.is_load = op == OpClass.LOAD
         self.is_store = op == OpClass.STORE
+        self.is_branch = record.is_branch
         self.commit_cycle = -1
         #: Memory level that serviced this load ("l1"/"l2"/"remote"/"mem"/
         #: "forward"), once its resolution is known; None before (and
         #: again after a cancellation).  Read by the CPI-stack accountant.
         self.mem_level: Optional[str] = None
-
-    @property
-    def op(self) -> OpClass:
-        return self.record.op
-
-    @property
-    def is_branch(self) -> bool:
-        return self.record.is_branch
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -7,7 +7,7 @@ delivers up to eight instructions (32 bytes) per cycle to the decoder.
 
 from repro.frontend.bht import BhtParams, BranchHistoryTable, BhtStats
 from repro.frontend.ras import ReturnAddressStack
-from repro.frontend.fetch import FetchedInstruction, FetchUnit, FrontEndParams
+from repro.frontend.fetch import FetchUnit, FrontEndParams
 
 __all__ = [
     "BhtParams",
@@ -15,6 +15,5 @@ __all__ = [
     "BhtStats",
     "ReturnAddressStack",
     "FetchUnit",
-    "FetchedInstruction",
     "FrontEndParams",
 ]

@@ -47,12 +47,6 @@ from repro.memory.params import (
 #: Chip-crossing penalty for the off-chip L2 study (§4.3.4: "we add 10ns").
 OFF_CHIP_EXTRA_CYCLES = ns_to_cycles(10.0)  # 13 cycles at 1.3 GHz
 
-#: Selectable core engines.  Both produce bit-identical results; the
-#: fast engine trades interpretability of the inner loop for throughput
-#: (see :mod:`repro.core.fastcore`).
-ENGINE_CHOICES = ("reference", "fast")
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """A complete machine description for the performance model."""
@@ -103,10 +97,6 @@ class MachineConfig:
     perfect_l2: bool = False
     perfect_tlb: bool = False
     perfect_branch_prediction: bool = False
-    #: Core engine: "reference" (the readable cycle loop) or "fast" (the
-    #: slot-recycled hot path; bit-identical results).  Participates in
-    #: :meth:`content_hash`, so experiment caches never alias engines.
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -127,11 +117,6 @@ class MachineConfig:
         def reject(message: str) -> None:
             raise ConfigError(f"{self.name}: {message}")
 
-        if self.engine not in ENGINE_CHOICES:
-            reject(
-                f"unknown engine {self.engine!r} "
-                f"(choices: {', '.join(ENGINE_CHOICES)})"
-            )
         for l1 in (self.l1i, self.l1d):
             if self.l2.line_bytes % l1.line_bytes != 0:
                 reject(

@@ -19,12 +19,7 @@ from repro.core.pipeline import ProcessorCore
 from repro.memory.bus import Bus
 from repro.memory.dram import MemoryController
 from repro.model.config import MachineConfig
-from repro.model.simulator import (
-    build_hierarchy,
-    core_class,
-    prewarm_regions,
-    warm_structures,
-)
+from repro.model.simulator import build_hierarchy, prewarm_regions, warm_structures
 from repro.model.stats import SimResult
 from repro.smp.coherence import CoherenceDomain
 from repro.trace.stream import Trace
@@ -109,14 +104,12 @@ class SmpSystem:
         self,
         config: MachineConfig,
         traces: List[Trace],
-        engine: Optional[str] = None,
     ) -> None:
         if not traces:
             raise ConfigError("need at least one trace")
         self.config = config
         self.traces = traces
         self.cpu_count = len(traces)
-        core_cls = core_class(config, engine)
 
         self.system_bus = Bus(config.system_bus)
         self.memory = MemoryController(config.memory, line_bytes=config.l2.line_bytes)
@@ -134,7 +127,7 @@ class SmpSystem:
                 shared_memory=self.memory,
             )
             self.domain.attach(hierarchy)
-            core = core_cls(
+            core = ProcessorCore(
                 trace, hierarchy, config.core, config.frontend, config.bht
             )
             self.hierarchies.append(hierarchy)
@@ -220,7 +213,6 @@ def run_smp(
     traces: List[Trace],
     warmup_fraction: float = 0.1,
     regions_per_cpu: Optional[List[dict]] = None,
-    engine: Optional[str] = None,
 ) -> SmpResult:
     """Convenience: split warmup windows off each trace and run."""
     if not 0.0 <= warmup_fraction < 1.0:
@@ -228,7 +220,7 @@ def run_smp(
     split = int(len(traces[0]) * warmup_fraction)
     warm_parts = [trace.head(split) for trace in traces]
     timed_parts = [trace[split:] for trace in traces]
-    system = SmpSystem(config, timed_parts, engine=engine)
+    system = SmpSystem(config, timed_parts)
     if split or regions_per_cpu:
         system.warm_up(warm_parts, regions_per_cpu)
     return system.run()

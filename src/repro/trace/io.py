@@ -362,16 +362,19 @@ def _read_binary(path: Path, skip_corrupt: bool, report: TraceReadReport) -> Tra
     offset += name_len
 
     trace = Trace(name=name, cpu=cpu)
+    # One zero-copy view of the record area: slicing ``data`` per record
+    # would copy the rest of the file each time (quadratic in its size).
+    body = memoryview(data)[:body_end]
     for index in range(count):
         record_start = offset
         try:
             pc, op, dest, ea, size, flags, target, nsrcs = _RECORD_HEAD.unpack_from(
-                data[:body_end], offset
+                body, offset
             )
             offset += _RECORD_HEAD.size
             srcs = []
             for _ in range(nsrcs):
-                (src,) = _SRC_FMT.unpack_from(data[:body_end], offset)
+                (src,) = _SRC_FMT.unpack_from(body, offset)
                 offset += _SRC_FMT.size
                 srcs.append(src)
             op_class = OpClass(op)

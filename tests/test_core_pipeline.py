@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.pipeline import ProcessorCore
+from repro.core.uop import UopState
 from repro.core.params import RsOrganization
 from repro.isa.opcodes import OpClass
 from repro.model.simulator import build_hierarchy, warm_structures
@@ -266,9 +267,10 @@ class TestIdleSkipAhead:
     activity.  These tests drive a trace of cold DRAM-missing loads,
     probe every multi-cycle jump with a deep-copied core stepped one
     cycle at a time (each intermediate cycle must be idle), and
-    cross-check the two wake caches — the LSU pending-work minimum and
-    the dispatch-tail station-wake note — against from-scratch
-    recomputation at every idle cycle.
+    cross-check the wake caches — the LSU pending-work minimum, the
+    memoised station wake notes with the dispatch-skip wake
+    ``_disp_ne``, and the per-µop cached source-ready cycles — against
+    from-scratch recomputation at every idle cycle.
     """
 
     @staticmethod
@@ -314,15 +316,30 @@ class TestIdleSkipAhead:
             assert lsu.pending_work_cycle(cycle) == cached, (
                 "stale LSU pending-work cache at an idle cycle"
             )
-            notes = [
-                station.next_eligible
-                for station in core._all_stations
-                if station.next_eligible is not None
-                and station.next_eligible > cycle
-            ]
-            assert core._station_wake == (min(notes) if notes else None), (
-                "dispatch-tail station wake disagrees with a full walk"
+            # Full re-walk of the dispatch memo: the plain per-station
+            # selection scan must select nothing and re-derive every
+            # wake note (it rewrites only the notes, so on success the
+            # core is unchanged), each waiting µop's cached source-ready
+            # cycle must match a fresh computation, and with every
+            # station clean the memo's global wake is the minimum note.
+            offset = core.params.dispatch_to_exec
+            memo_notes = [s.next_eligible for s in core._all_stations]
+            for station in core._all_stations:
+                for uop in station.entries:
+                    if uop.state == UopState.WAITING:
+                        assert uop.ready_lb == station._sources_ready_at(
+                            uop, True, offset
+                        ), "stale cached source-ready cycle"
+                assert not station.select(cycle, offset, True)
+            notes = [station.next_eligible for station in core._all_stations]
+            assert memo_notes == notes, (
+                "memoised station wake notes disagree with a full walk"
             )
+            if core._disp_clean:
+                due = [note for note in notes if note is not None]
+                assert core._disp_ne == (min(due) if due else None), (
+                    "dispatch-skip wake disagrees with a full walk"
+                )
 
             target = core._next_cycle(cycle)
             assert target > cycle

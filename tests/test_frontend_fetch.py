@@ -30,6 +30,27 @@ def make_fetch(records, config, frontend=None, bht=None):
     return unit
 
 
+def decodable(unit, cycle):
+    """Buffered instructions whose fetch pipe has completed by ``cycle``."""
+    start = unit._position - unit._buffered
+    count = 0
+    for avail, end, _ in unit._runs:
+        if avail > cycle:
+            break
+        count = end - start
+    return count
+
+
+def mispredict_flags(unit):
+    """Per buffered instruction, whether fetch flagged it mispredicted."""
+    flags = []
+    start = unit._position - unit._buffered
+    for _, end, last_mispredicted in unit._runs:
+        flags.extend([False] * (end - start - 1) + [last_mispredicted])
+        start = end
+    return flags
+
+
 class TestRas:
     def test_push_pop_match(self):
         ras = ReturnAddressStack(4)
@@ -60,16 +81,14 @@ class TestFetchGroups:
         records = [make_alu(0x1000 + 4 * i, dest=8, srcs=()) for i in range(16)]
         unit = make_fetch(records, small_config)
         unit.step(0)
-        popped = unit.pop_ready(0 + unit.params.pipeline_depth, 8)
-        assert len(popped) == 8  # one full 32-byte group
+        assert decodable(unit, 0 + unit.params.pipeline_depth) == 8  # one full 32-byte group
 
     def test_group_respects_alignment(self, small_config):
         # Start mid-group: 0x1010 leaves only 4 slots to the boundary.
         records = [make_alu(0x1010 + 4 * i, dest=8, srcs=()) for i in range(8)]
         unit = make_fetch(records, small_config)
         unit.step(0)
-        popped = unit.pop_ready(5, 8)
-        assert len(popped) == 4
+        assert decodable(unit, 5) == 4
 
     def test_stops_at_taken_branch(self, small_config):
         records = [
@@ -79,8 +98,7 @@ class TestFetchGroups:
         ]
         unit = make_fetch(records, small_config)
         unit.step(0)
-        popped = unit.pop_ready(5, 8)
-        assert len(popped) == 2  # group ends at the taken branch
+        assert decodable(unit, 5) == 2  # group ends at the taken branch
 
     def test_taken_branch_bubbles(self, small_config):
         records = [
@@ -92,11 +110,11 @@ class TestFetchGroups:
         bubbles = unit.bht.params.access_latency
         # Fetch must be stalled for `bubbles` cycles after the branch.
         for cycle in range(1, 1 + bubbles):
-            before = len(unit._buffer)
+            before = unit._buffered
             unit.step(cycle)
-            assert len(unit._buffer) == before
+            assert unit._buffered == before
         unit.step(1 + bubbles)
-        assert len(unit._buffer) == 2
+        assert unit._buffered == 2
 
     def test_one_bubble_with_fast_bht(self, small_config):
         records = [
@@ -107,7 +125,7 @@ class TestFetchGroups:
         unit.step(0)
         unit.step(1)  # single bubble
         unit.step(2)
-        assert len(unit._buffer) == 2
+        assert unit._buffered == 2
 
     def test_exhausted(self, small_config):
         records = [make_alu(0x1000, dest=8, srcs=())]
@@ -125,10 +143,10 @@ class TestMisprediction:
         ]
         unit = make_fetch(records, small_config)
         unit.step(0)
-        assert unit._buffer[0].mispredicted
+        assert mispredict_flags(unit)[0]
         for cycle in range(1, 6):
             unit.step(cycle)
-        assert len(unit._buffer) == 1  # blocked until redirect
+        assert unit._buffered == 1  # blocked until redirect
 
     def test_redirect_resumes(self, small_config):
         records = [
@@ -140,7 +158,7 @@ class TestMisprediction:
         unit.redirect(10)
         resume = 10 + unit.params.redirect_penalty
         unit.step(resume)
-        assert len(unit._buffer) == 2
+        assert unit._buffered == 2
 
     def test_perfect_prediction_never_blocks(self, small_config):
         records = [
@@ -150,7 +168,7 @@ class TestMisprediction:
         frontend = FrontEndParams(perfect_prediction=True)
         unit = make_fetch(records, small_config, frontend=frontend)
         unit.step(0)
-        assert not unit._buffer[0].mispredicted
+        assert not mispredict_flags(unit)[0]
 
 
 class TestIcacheMiss:
@@ -163,6 +181,6 @@ class TestIcacheMiss:
         assert unit.icache_stall_cycles > 0
         ready = unit._stall_until
         unit.step(ready)
-        assert len(unit._buffer) == 1
+        assert unit._buffered == 1
         # Only one L1I demand access recorded despite the retry.
         assert hierarchy.l1i.stats.demand_accesses == 1

@@ -3,7 +3,6 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRng
 from repro.memory.bus import Bus
 from repro.memory.cache import LineState, SetAssociativeCache
@@ -170,25 +169,6 @@ def test_trace_io_roundtrip(tmp_path_factory, records):
         path = directory / f"t{suffix}"
         write_trace(trace, path)
         assert read_trace(path).records == trace.records
-
-
-# ---------------------------------------------------------------------------
-# Event queue ordering.
-# ---------------------------------------------------------------------------
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_event_queue_pops_in_cycle_order(cycles):
-    queue = EventQueue()
-    for index, cycle in enumerate(cycles):
-        queue.schedule(cycle, (cycle, index))
-    popped = list(queue.pop_due(1000))
-    assert [item[0] for item in popped] == sorted(cycles)
-    # Ties keep insertion order.
-    for earlier, later in zip(popped, popped[1:]):
-        if earlier[0] == later[0]:
-            assert earlier[1] < later[1]
 
 
 # ---------------------------------------------------------------------------

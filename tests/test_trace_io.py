@@ -220,3 +220,35 @@ class TestBinaryCompactness:
         write_trace(trace, jsonl)
         write_trace(trace, binary)
         assert binary.stat().st_size < jsonl.stat().st_size / 2
+
+
+class TestBinaryReadScaling:
+    """Reading a binary trace is linear in its length."""
+
+    @staticmethod
+    def _read_seconds(tmp_path, count):
+        import time
+
+        records = [
+            TraceRecord(0x1000 + 4 * i, OpClass.INT_ALU, dest=8, srcs=(1, 2))
+            for i in range(count)
+        ]
+        path = tmp_path / f"scale{count}.trc"
+        write_trace(Trace(records, name="scale"), path)
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            loaded = read_trace(path)
+            best = min(best, time.perf_counter() - started)
+        assert len(loaded) == count
+        return best
+
+    def test_four_times_the_records_reads_in_about_four_times_the_time(self, tmp_path):
+        small = 4_000
+        base = self._read_seconds(tmp_path, small)
+        large = self._read_seconds(tmp_path, 4 * small)
+        # Linear reading gives a ratio near 4; re-slicing the file per
+        # record made it ~16 at these sizes.
+        assert large <= 2.0 * 4 * base, (
+            f"{4 * small} records took {large:.3f}s vs {base:.3f}s for {small}"
+        )
