@@ -100,12 +100,6 @@ class _RegisterState:
     def base_register(self) -> int:
         return int_reg(self._rng.choice(_BASE_REG_POOL))
 
-    def note_load_dest(self, flat_reg: int) -> None:
-        """Record a load destination so following ops can consume it."""
-        if flat_reg == NO_REG:
-            return
-        # Already appended by next_*_dest; nothing extra needed.
-
 
 class TraceGenerator:
     """Generates dynamic traces for one workload profile.
