@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis.runner import ExperimentRunner, ParallelRunner
+from repro.analysis.runner import ExperimentRunner, ParallelRunner, _deal_lanes
 from repro.analysis.workloads import Workload, standard_workloads, workload_by_name
-from repro.model.config import base_config
+from repro.model.config import base_config, l2_off_8m_1w, l2_off_8m_2w
 
 #: Tiny windows so each simulation finishes in well under a second.
 WARM = 2_000
@@ -62,6 +62,54 @@ class TestDeterminism:
         assert second.stats.disk_hits == 1
         assert second.stats.misses == 0
         assert _stats(cached) == _stats(fresh)
+
+
+class TestPlacement:
+    """Which worker runs which point is fixed by the batch, not by timing."""
+
+    def test_deal_groups_workloads_into_balanced_lanes(self):
+        spec, tpcc, fp = (
+            workload_by_name(name, warm=WARM, timed=TIMED)
+            for name in ("SPECint95", "TPC-C", "SPECfp95")
+        )
+        batch = [
+            ("up", (f"k{i}", f"c{i}", workload))
+            for i, workload in enumerate([spec, tpcc, spec, tpcc, fp, spec, tpcc])
+        ]
+        lanes = _deal_lanes(batch, jobs=2)
+        names = [[entry[1][2].name for entry in lane] for lane in lanes]
+        assert names == [
+            ["SPECint95", "SPECint95", "SPECint95", "TPC-C"],
+            ["TPC-C", "TPC-C", "SPECfp95"],
+        ]
+        # Request order survives within a workload; every lane entry
+        # starts at attempt 0; a batch smaller than jobs uses fewer lanes.
+        assert [entry[1][0] for entry in lanes[0]] == ["k0", "k2", "k5", "k1"]
+        assert all(entry[2] == 0 for lane in lanes for entry in lane)
+        assert len(_deal_lanes(batch[:1], jobs=4)) == 1
+
+    def test_each_workload_stays_on_one_worker(self, tmp_path):
+        """The L2-study shape: two workloads x three configs on two jobs.
+
+        Each worker generates one trace and reuses it, whichever run
+        finishes first.
+        """
+        configs = [base_config(), l2_off_8m_2w(), l2_off_8m_1w()]
+        workloads = [
+            workload_by_name(name, warm=WARM, timed=TIMED)
+            for name in ("SPECint95", "TPC-C")
+        ]
+        runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+        try:
+            runner.prefetch(up=[(c, w) for c in configs for w in workloads])
+        finally:
+            runner.close()
+        workers = {}
+        for label, _seconds, pid in runner.stats.timings:
+            workers.setdefault(label.split("@")[0], set()).add(pid)
+        assert sorted(workers) == ["SPECint95", "TPC-C"]
+        assert all(len(pids) == 1 for pids in workers.values())
+        assert workers["SPECint95"] != workers["TPC-C"]
 
 
 class TestCacheKeys:
