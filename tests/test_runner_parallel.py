@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, ParallelRunner, _deal_lanes
-from repro.analysis.workloads import Workload, standard_workloads, workload_by_name
+from repro.analysis.workloads import (
+    Workload,
+    smp_workload,
+    standard_workloads,
+    workload_by_name,
+)
 from repro.model.config import base_config, l2_off_8m_1w, l2_off_8m_2w
 
 #: Tiny windows so each simulation finishes in well under a second.
@@ -62,6 +67,33 @@ class TestDeterminism:
         assert second.stats.disk_hits == 1
         assert second.stats.misses == 0
         assert _stats(cached) == _stats(fresh)
+
+
+class TestSmpPath:
+    def test_smp_prefetch_matches_serial_and_replays_from_disk(self, tmp_path):
+        """An SMP point run in a worker equals the serial run, and a
+        second runner on the same cache dir replays it from disk."""
+        config = base_config()
+        workload = smp_workload(2, warm=WARM, timed=TIMED)
+        expected = ExperimentRunner().run_smp(config, workload, 2)
+
+        first = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+        try:
+            first.prefetch(smp=[(config, workload, 2)])
+        finally:
+            first.close()
+        assert first.stats.runs_in_workers == 1
+        assert first.run_smp(config, workload, 2).as_dict() == expected.as_dict()
+
+        second = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+        second.prefetch(smp=[(config, workload, 2)])
+        replayed = second.run_smp(config, workload, 2)
+        assert second.stats.disk_hits == 1
+        assert second.stats.misses == 0
+        assert replayed.as_dict() == expected.as_dict()
+        assert [_stats(cpu) for cpu in replayed.per_cpu] == [
+            _stats(cpu) for cpu in expected.per_cpu
+        ]
 
 
 class TestPlacement:
