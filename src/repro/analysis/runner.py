@@ -7,11 +7,18 @@ of the configuration plus the workload's cache key, never by display
 name alone, so two configs that share a name but differ in any
 parameter cannot alias.
 
+A run is one (config, workload, cpus) point: a uniprocessor run when
+``cpus`` is None, an SMP run otherwise.  Both kinds share one key
+(:func:`run_key`), one label (:func:`run_label`), one simulation entry
+(:func:`simulate`) and one result decoder (:func:`decode_result`), which
+the campaign service (:mod:`repro.service.jobs`) reuses as well.
+
 :class:`ParallelRunner` extends the serial runner with
 
 - **fan-out**: :meth:`~ParallelRunner.prefetch` runs a batch of
   independent (config, workload[, cpu_count]) simulations across worker
-  processes (``jobs=N``) via :class:`concurrent.futures.ProcessPoolExecutor`;
+  processes (``jobs=N``), one single-worker pool per lane
+  (:class:`~repro.analysis.pools.LanePools`);
 - **persistence**: results are memoised to disk through
   :class:`~repro.analysis.cache.ResultCache`, so regenerating a figure a
   second time is near-instant;
@@ -21,13 +28,13 @@ parameter cannot alias.
   falls back to a fresh in-process run instead of aborting the sweep;
 - **fault tolerance**: a :class:`~repro.analysis.policy.RunPolicy`
   adds per-run wall-clock timeouts with a watchdog that kills and
-  respawns a hung worker pool, bounded retries with deterministic
+  respawns a hung worker, bounded retries with deterministic
   jittered backoff, and a configurable last-resort policy
   (``retry`` in-process / ``fail`` loudly / ``skip`` and record);
-- **resume**: an optional
-  :class:`~repro.analysis.campaign.CampaignManifest` records every
-  completed (config, workload) key, so an interrupted campaign
-  restarted with the same manifest reports exactly what remains.
+- **resume**: an interrupted campaign rerun with the same cache
+  directory replays every finished run from disk (counted as
+  ``disk hits`` in :meth:`~ParallelRunner.summary`) and simulates only
+  what remains.
 
 Determinism: the simulation depends only on (config, trace) and every
 trace is regenerated in the worker from an explicit seed
@@ -46,18 +53,13 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.campaign import CampaignManifest
 from repro.analysis.policy import RunPolicy
+from repro.analysis.pools import LanePools
 from repro.analysis.workloads import Workload
 from repro.common import faults
 from repro.common.errors import ExperimentError
@@ -70,15 +72,58 @@ from repro.smp.system import SmpResult, run_smp
 UpRequest = Tuple[MachineConfig, Workload]
 #: (config, workload, cpu_count) triple for an SMP prefetch.
 SmpRequest = Tuple[MachineConfig, Workload, int]
+#: (config content hash, workload cache key, cpu count or None).
+RunKey = Tuple[str, str, Optional[int]]
+#: A run to execute: (key, config, workload, cpu count or None).
+PendingRun = Tuple[RunKey, MachineConfig, Workload, Optional[int]]
+Result = Union[SimResult, SmpResult]
 
 
-def _run_up(config: MachineConfig, workload: Workload) -> SimResult:
-    """One uniprocessor simulation, in whichever process this runs.
+def run_key(
+    config: MachineConfig, workload: Workload, cpus: Optional[int] = None
+) -> RunKey:
+    """Memo key of one run.
 
-    A workload carrying a :class:`~repro.trace.sampling.SamplingPlan`
-    runs sampled (the plan's per-window warm-up replaces the trace-prefix
-    warm-up fraction); otherwise it runs in full detail.
+    Keys are always recomputed from content: memoising the hash by
+    ``id(config)`` is tempting but wrong — CPython reuses addresses
+    after garbage collection, so a transient config can inherit a freed
+    object's hash and silently alias a different machine.
     """
+    return (config.content_hash(), workload.cache_key(), cpus)
+
+
+def store_key(cache: ResultCache, key: RunKey) -> str:
+    """The :class:`ResultCache` key of a run."""
+    return cache.key("up" if key[2] is None else "smp", *key)
+
+
+def run_label(workload_name: str, config_name: str, cpus: Optional[int] = None) -> str:
+    """``workload@config`` or ``workloadxNP@config``; ``REPRO_FAULTS``
+    ``match=`` patterns select runs by this label."""
+    if cpus is None:
+        return f"{workload_name}@{config_name}"
+    return f"{workload_name}x{cpus}P@{config_name}"
+
+
+def simulate(
+    config: MachineConfig, workload: Workload, cpus: Optional[int] = None
+) -> Result:
+    """One simulation, in whichever process this runs.
+
+    An SMP run simulates ``cpus`` per-CPU traces of the workload.  A
+    uniprocessor workload carrying a
+    :class:`~repro.trace.sampling.SamplingPlan` runs sampled (the plan's
+    per-window warm-up replaces the trace-prefix warm-up fraction);
+    otherwise it runs in full detail.
+    """
+    if cpus is not None:
+        traces, regions = workload.smp_traces(cpus)
+        return run_smp(
+            config,
+            traces,
+            warmup_fraction=workload.warmup_fraction,
+            regions_per_cpu=regions,
+        )
     model = PerformanceModel(config)
     if workload.sampling is not None:
         return model.run_sampled(
@@ -91,15 +136,19 @@ def _run_up(config: MachineConfig, workload: Workload) -> SimResult:
     )
 
 
-def _run_smp(config: MachineConfig, workload: Workload, cpu_count: int) -> SmpResult:
-    """One SMP simulation, in whichever process this runs."""
-    traces, regions = workload.smp_traces(cpu_count)
-    return run_smp(
-        config,
-        traces,
-        warmup_fraction=workload.warmup_fraction,
-        regions_per_cpu=regions,
-    )
+def decode_result(payload: dict, cpus: Optional[int]) -> Result:
+    """Rebuild a result from its :meth:`to_dict` payload."""
+    if cpus is None:
+        return sim_result_from_dict(payload)
+    return SmpResult.from_dict(payload)
+
+
+def result_meta(result: Result, workload_name: str, cpus: Optional[int]) -> dict:
+    """The metadata stored beside a cached result."""
+    meta = {"config": result.config_name, "workload": workload_name}
+    if cpus is not None:
+        meta["cpus"] = cpus
+    return meta
 
 
 #: Per-worker workload memo: workers live across tasks (the runner keeps
@@ -120,8 +169,8 @@ def _memoised_workload(workload: Workload) -> Workload:
     return workload
 
 
-#: A run waiting in a lane: (kind "up"/"smp", pending item, attempt).
-LaneEntry = Tuple[str, Tuple, int]
+#: A run waiting in a lane: (kind "up"/"smp", pending run, attempt).
+LaneEntry = Tuple[str, PendingRun, int]
 
 
 def _deal_lanes(
@@ -152,23 +201,13 @@ def _deal_lanes(
     return lanes
 
 
-def _up_worker(
-    config: MachineConfig, workload: Workload, attempt: int = 0
+def _worker(
+    config: MachineConfig, workload: Workload, cpus: Optional[int], attempt: int
 ) -> Tuple[dict, int, float]:
     """Worker entry point: returns (result dict, worker pid, seconds)."""
-    faults.worker_fault(f"{workload.name}@{config.name}", attempt)
+    faults.worker_fault(run_label(workload.name, config.name, cpus), attempt)
     started = time.perf_counter()
-    result = _run_up(config, _memoised_workload(workload))
-    return result.to_dict(), os.getpid(), time.perf_counter() - started
-
-
-def _smp_worker(
-    config: MachineConfig, workload: Workload, cpu_count: int, attempt: int = 0
-) -> Tuple[dict, int, float]:
-    """Worker entry point for SMP runs."""
-    faults.worker_fault(f"{workload.name}x{cpu_count}P@{config.name}", attempt)
-    started = time.perf_counter()
-    result = _run_smp(config, _memoised_workload(workload), cpu_count)
+    result = simulate(config, _memoised_workload(workload), cpus)
     return result.to_dict(), os.getpid(), time.perf_counter() - started
 
 
@@ -186,7 +225,7 @@ class RunnerStats:
     retries: int = 0
     #: Runs whose wall-clock watchdog expired.
     timeouts: int = 0
-    #: Times the hung/broken worker pool was killed and respawned.
+    #: Times a hung or broken worker was killed or dropped and respawned.
     pool_restarts: int = 0
     #: Labels abandoned under the ``skip`` failure policy.
     skipped: List[str] = field(default_factory=list)
@@ -221,28 +260,16 @@ class RunnerStats:
 class ExperimentRunner:
     """Runs (config, workload) pairs serially, caching results in memory."""
 
+    #: Persistent result store; the serial runner keeps memory only.
+    cache: Optional[ResultCache] = None
+
     def __init__(self, verbose: bool = False) -> None:
         self.verbose = verbose
         self.stats = RunnerStats()
-        self._up_cache: Dict[Tuple[str, str], SimResult] = {}
-        self._smp_cache: Dict[Tuple[str, str, int], SmpResult] = {}
-
-    # -- keys ------------------------------------------------------------
-    #
-    # Keys are always recomputed from content: memoising the hash by
-    # ``id(config)`` is tempting but wrong — CPython reuses addresses
-    # after garbage collection, so a transient config can inherit a
-    # freed object's hash and silently alias a different machine.
-
-    def _up_key(self, config: MachineConfig, workload: Workload) -> Tuple[str, str]:
-        return (config.content_hash(), workload.cache_key())
-
-    def _smp_key(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> Tuple[str, str, int]:
-        return (config.content_hash(), workload.cache_key(), cpu_count)
-
-    # -- logging ---------------------------------------------------------
+        self._results: Dict[RunKey, Result] = {}
+        #: Keys abandoned under the ``skip`` failure policy; the serial
+        #: runner never abandons a run.
+        self._skipped: Set[RunKey] = set()
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -252,59 +279,94 @@ class ExperimentRunner:
 
     def run(self, config: MachineConfig, workload: Workload) -> SimResult:
         """Uniprocessor run of ``workload`` on ``config`` (cached)."""
-        key = self._up_key(config, workload)
-        result = self._up_cache.get(key)
-        if result is None:
-            result = self._fetch_up(key, config, workload)
-            self._up_cache[key] = result
-        else:
-            self.stats.memory_hits += 1
-        return result
+        return self._get(config, workload, None)
 
     def run_smp(
         self, config: MachineConfig, workload: Workload, cpu_count: int
     ) -> SmpResult:
         """SMP run with per-CPU traces of ``workload`` (cached)."""
-        key = self._smp_key(config, workload, cpu_count)
-        result = self._smp_cache.get(key)
-        if result is None:
-            result = self._fetch_smp(key, config, workload, cpu_count)
-            self._smp_cache[key] = result
-        else:
-            self.stats.memory_hits += 1
-        return result
+        return self._get(config, workload, cpu_count)
 
-    def _fetch_up(
-        self, key: Tuple[str, str], config: MachineConfig, workload: Workload
-    ) -> SimResult:
-        """Produce an uncached uniprocessor result (serial: just run)."""
-        self.stats.misses += 1
-        self._log(f"  running {workload.name} on {config.name} ...")
-        started = time.perf_counter()
-        result = _run_up(config, workload)
-        self.stats.record_run(
-            f"{workload.name}@{config.name}", time.perf_counter() - started, None
-        )
-        return result
+    def try_run(
+        self, config: MachineConfig, workload: Workload
+    ) -> Optional[SimResult]:
+        """Like :meth:`run`, but ``None`` for a run abandoned by policy.
 
-    def _fetch_smp(
+        Sweeps call it so the same code renders partial tables when a
+        parallel runner skipped points.
+        """
+        return self._get(config, workload, None, abandoned_ok=True)
+
+    def try_run_smp(
+        self, config: MachineConfig, workload: Workload, cpu_count: int
+    ) -> Optional[SmpResult]:
+        """SMP counterpart of :meth:`try_run`."""
+        return self._get(config, workload, cpu_count, abandoned_ok=True)
+
+    def _get(
         self,
-        key: Tuple[str, str, int],
         config: MachineConfig,
         workload: Workload,
-        cpu_count: int,
-    ) -> SmpResult:
-        """Produce an uncached SMP result (serial: just run)."""
+        cpus: Optional[int],
+        abandoned_ok: bool = False,
+    ) -> Optional[Result]:
+        """Memo, then disk, then a fresh in-process run."""
+        key = run_key(config, workload, cpus)
+        if key in self._skipped:
+            if abandoned_ok:
+                return None
+            raise ExperimentError(
+                f"{run_label(workload.name, config.name, cpus)} was abandoned "
+                f"after repeated failures (policy on_failure=skip); use "
+                f"try_run() or try_run_smp() to render partial results"
+            )
+        result = self._results.get(key)
+        if result is not None:
+            self.stats.memory_hits += 1
+            return result
+        result = self._load(key)
+        if result is not None:
+            self.stats.disk_hits += 1
+            self._log(f"  [cache] {run_label(workload.name, config.name, cpus)}")
+            self._results[key] = result
+            return result
         self.stats.misses += 1
-        self._log(f"  running {workload.name} x{cpu_count}P on {config.name} ...")
+        return self._execute((key, config, workload, cpus))
+
+    def _load(self, key: RunKey) -> Optional[Result]:
+        if self.cache is None:
+            return None
+        payload = self.cache.load(store_key(self.cache, key))
+        if payload is None:
+            return None
+        try:
+            return decode_result(payload, key[2])
+        except (ValueError, TypeError, KeyError):
+            # Payload from an incompatible writer: treat as a miss.
+            return None
+
+    def _execute(self, run: PendingRun) -> Result:
+        """Simulate one run in this process and install its result."""
+        _key, config, workload, cpus = run
+        self._log(f"  running {run_label(workload.name, config.name, cpus)} ...")
         started = time.perf_counter()
-        result = _run_smp(config, workload, cpu_count)
-        self.stats.record_run(
-            f"{workload.name}x{cpu_count}P@{config.name}",
-            time.perf_counter() - started,
-            None,
-        )
+        result = simulate(config, workload, cpus)
+        self._install(run, result, time.perf_counter() - started, None)
         return result
+
+    def _install(
+        self, run: PendingRun, result: Result, seconds: float, pid: Optional[int]
+    ) -> None:
+        """Memoise a fresh result, store it on disk, and record its cost."""
+        key, config, workload, cpus = run
+        self._results[key] = result
+        if self.cache is not None:
+            self.cache.store(
+                store_key(self.cache, key),
+                result.to_dict(),
+                meta=result_meta(result, workload.name, cpus),
+            )
+        self.stats.record_run(run_label(workload.name, config.name, cpus), seconds, pid)
 
     def prefetch(
         self,
@@ -313,26 +375,14 @@ class ExperimentRunner:
     ) -> None:
         """Hint that these runs are coming.  Serial runner: no-op (lazy)."""
 
-    def try_run(
-        self, config: MachineConfig, workload: Workload
-    ) -> Optional[SimResult]:
-        """Like :meth:`run`, but ``None`` for a run abandoned by policy.
-
-        The serial runner never abandons a run, so this is plain
-        :meth:`run`; sweeps call it so the same code renders partial
-        tables when a parallel runner skipped points.
-        """
-        return self.run(config, workload)
-
-    def try_run_smp(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> Optional[SmpResult]:
-        """SMP counterpart of :meth:`try_run`."""
-        return self.run_smp(config, workload, cpu_count)
-
     def cached_results(self) -> Dict[Tuple[str, str], SimResult]:
-        """All uniprocessor results produced so far."""
-        return dict(self._up_cache)
+        """All uniprocessor results produced so far, keyed by
+        (config content hash, workload cache key)."""
+        return {
+            key[:2]: result
+            for key, result in self._results.items()
+            if key[2] is None
+        }
 
     def metrics(self) -> Dict[Tuple[str, str], Dict[str, float]]:
         """Flat registry metrics for every uniprocessor result so far.
@@ -344,7 +394,7 @@ class ExperimentRunner:
         """
         from repro.observe.registry import collect
 
-        return {key: collect(result) for key, result in self._up_cache.items()}
+        return {key: collect(result) for key, result in self.cached_results().items()}
 
 
 class ParallelRunner(ExperimentRunner):
@@ -358,8 +408,7 @@ class ParallelRunner(ExperimentRunner):
     reads results back through the ordinary serial interface.
 
     ``policy`` governs failure handling for worker runs (timeouts,
-    retries, backoff; see :class:`~repro.analysis.policy.RunPolicy`);
-    ``manifest`` records completed keys for resumable campaigns.
+    retries, backoff; see :class:`~repro.analysis.policy.RunPolicy`).
     """
 
     def __init__(
@@ -369,7 +418,6 @@ class ParallelRunner(ExperimentRunner):
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         policy: Optional[RunPolicy] = None,
-        manifest: Optional[CampaignManifest] = None,
     ) -> None:
         super().__init__(verbose=verbose)
         if jobs < 1:
@@ -377,191 +425,19 @@ class ParallelRunner(ExperimentRunner):
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if use_cache else None
         self.policy = policy or RunPolicy()
-        self.manifest = manifest
-        #: Keys abandoned under the ``skip`` failure policy.
-        self._skipped: Set[Tuple[str, Tuple]] = set()
-        #: Lane -> single-worker pool, created lazily and reused across
-        #: prefetch batches; workers stay warm (their workload/trace memos
-        #: survive between figures).
-        self._executors: Dict[int, ProcessPoolExecutor] = {}
-
-    def _pool(self, lane: int) -> ProcessPoolExecutor:
-        executor = self._executors.get(lane)
-        if executor is None:
-            executor = self._executors[lane] = ProcessPoolExecutor(max_workers=1)
-        return executor
-
-    def _discard_pool(self, lane: Optional[int] = None) -> bool:
-        """Drop one lane's pool, or every pool; True if any existed."""
-        lanes = list(self._executors) if lane is None else [lane]
-        discarded = False
-        for index in lanes:
-            executor = self._executors.pop(index, None)
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-                discarded = True
-        return discarded
-
-    def _kill_pool(self) -> None:
-        """Watchdog action: hard-kill every worker, then drop the pools.
-
-        ``shutdown`` alone cannot reclaim a *hung* worker — it only
-        stops feeding new work — so the watchdog kills the processes
-        first and lets the next submission build fresh pools.
-        """
-        if not self._executors:
-            return
-        for executor in self._executors.values():
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.kill()
-                except Exception:  # noqa: BLE001 - already-dead workers
-                    pass
-        self._discard_pool()
-        self.stats.pool_restarts += 1
+        #: Reused across prefetch batches, so workers stay warm (their
+        #: workload/trace memos survive between figures).
+        self._pools = LanePools()
 
     def close(self) -> None:
-        """Shut the worker pool down (also safe to never call)."""
-        self._discard_pool()
+        """Shut the worker pools down (also safe to never call)."""
+        self._pools.discard()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:
-            self._discard_pool()
+            self._pools.discard()
         except Exception:
             pass
-
-    # -- disk cache ------------------------------------------------------
-
-    def _disk_load_up(self, key: Tuple[str, str]) -> Optional[SimResult]:
-        if self.cache is None:
-            return None
-        payload = self.cache.load(self.cache.key("up", *key))
-        if payload is None:
-            return None
-        try:
-            return sim_result_from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            # Payload from an incompatible writer: treat as a miss.
-            return None
-
-    def _disk_load_smp(self, key: Tuple[str, str, int]) -> Optional[SmpResult]:
-        if self.cache is None:
-            return None
-        payload = self.cache.load(self.cache.key("smp", key[0], key[1], key[2]))
-        if payload is None:
-            return None
-        try:
-            return SmpResult.from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            return None
-
-    def _disk_store_up(
-        self, key: Tuple[str, str], result: SimResult, workload: Workload
-    ) -> None:
-        if self.cache is not None:
-            self.cache.store(
-                self.cache.key("up", *key),
-                result.to_dict(),
-                meta={"config": result.config_name, "workload": workload.name},
-            )
-
-    def _disk_store_smp(
-        self, key: Tuple[str, str, int], result: SmpResult, workload: Workload
-    ) -> None:
-        if self.cache is not None:
-            self.cache.store(
-                self.cache.key("smp", key[0], key[1], key[2]),
-                result.to_dict(),
-                meta={
-                    "config": result.config_name,
-                    "workload": workload.name,
-                    "cpus": key[2],
-                },
-            )
-
-    # -- campaign bookkeeping --------------------------------------------
-
-    def _mark_complete(self, kind: str, key: Tuple, label: str) -> None:
-        if self.manifest is not None:
-            self.manifest.mark(self.manifest.key(kind, *key), label)
-
-    # -- skip policy -----------------------------------------------------
-
-    def _is_skipped(self, kind: str, key: Tuple) -> bool:
-        return (kind, key) in self._skipped
-
-    def run(self, config: MachineConfig, workload: Workload) -> SimResult:
-        key = self._up_key(config, workload)
-        if self._is_skipped("up", key):
-            raise ExperimentError(
-                f"{workload.name}@{config.name} was abandoned after repeated "
-                f"failures (policy on_failure=skip); use try_run() to render "
-                f"partial results"
-            )
-        return super().run(config, workload)
-
-    def run_smp(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> SmpResult:
-        key = self._smp_key(config, workload, cpu_count)
-        if self._is_skipped("smp", key):
-            raise ExperimentError(
-                f"{workload.name}x{cpu_count}P@{config.name} was abandoned "
-                f"after repeated failures (policy on_failure=skip); use "
-                f"try_run_smp() to render partial results"
-            )
-        return super().run_smp(config, workload, cpu_count)
-
-    def try_run(
-        self, config: MachineConfig, workload: Workload
-    ) -> Optional[SimResult]:
-        if self._is_skipped("up", self._up_key(config, workload)):
-            return None
-        return super().run(config, workload)
-
-    def try_run_smp(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> Optional[SmpResult]:
-        if self._is_skipped("smp", self._smp_key(config, workload, cpu_count)):
-            return None
-        return super().run_smp(config, workload, cpu_count)
-
-    # -- serial-path overrides (memo miss) -------------------------------
-
-    def _fetch_up(
-        self, key: Tuple[str, str], config: MachineConfig, workload: Workload
-    ) -> SimResult:
-        cached = self._disk_load_up(key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            self._log(f"  [cache] {workload.name} on {config.name}")
-            self._mark_complete("up", key, f"{workload.name}@{config.name}")
-            return cached
-        result = super()._fetch_up(key, config, workload)
-        self._disk_store_up(key, result, workload)
-        self._mark_complete("up", key, f"{workload.name}@{config.name}")
-        return result
-
-    def _fetch_smp(
-        self,
-        key: Tuple[str, str, int],
-        config: MachineConfig,
-        workload: Workload,
-        cpu_count: int,
-    ) -> SmpResult:
-        cached = self._disk_load_smp(key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            self._log(f"  [cache] {workload.name} x{cpu_count}P on {config.name}")
-            self._mark_complete(
-                "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-            )
-            return cached
-        result = super()._fetch_smp(key, config, workload, cpu_count)
-        self._disk_store_smp(key, result, workload)
-        self._mark_complete("smp", key, f"{workload.name}x{cpu_count}P@{config.name}")
-        return result
 
     # -- parallel fan-out ------------------------------------------------
 
@@ -578,98 +454,33 @@ class ParallelRunner(ExperimentRunner):
         policy's budget, then handled per ``policy.on_failure``; a
         single crash or hang never loses the whole batch.
         """
-        pending_up: List[Tuple[Tuple[str, str], MachineConfig, Workload]] = []
-        seen_keys = set()
-        for config, workload in up:
-            key = self._up_key(config, workload)
-            if key in seen_keys or key in self._up_cache:
+        requests = [(config, workload, None) for config, workload in up]
+        requests += list(smp)
+        pending: List[Tuple[str, PendingRun]] = []
+        seen: Set[RunKey] = set()
+        for config, workload, cpus in requests:
+            key = run_key(config, workload, cpus)
+            if key in seen or key in self._results or key in self._skipped:
                 continue
-            if self._is_skipped("up", key):
-                continue
-            cached = self._disk_load_up(key)
+            cached = self._load(key)
             if cached is not None:
                 self.stats.disk_hits += 1
-                self._up_cache[key] = cached
-                self._mark_complete("up", key, f"{workload.name}@{config.name}")
+                self._results[key] = cached
                 continue
-            seen_keys.add(key)
-            pending_up.append((key, config, workload))
+            seen.add(key)
+            kind = "up" if cpus is None else "smp"
+            pending.append((kind, (key, config, workload, cpus)))
 
-        pending_smp: List[
-            Tuple[Tuple[str, str, int], MachineConfig, Workload, int]
-        ] = []
-        for config, workload, cpu_count in smp:
-            key = self._smp_key(config, workload, cpu_count)
-            if key in seen_keys or key in self._smp_cache:
-                continue
-            if self._is_skipped("smp", key):
-                continue
-            cached = self._disk_load_smp(key)
-            if cached is not None:
-                self.stats.disk_hits += 1
-                self._smp_cache[key] = cached
-                self._mark_complete(
-                    "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-                )
-                continue
-            seen_keys.add(key)
-            pending_smp.append((key, config, workload, cpu_count))
-
-        total = len(pending_up) + len(pending_smp)
-        if total == 0:
+        if not pending:
             return
-        self.stats.misses += total
-
-        if self.jobs == 1 and total == 1:
+        self.stats.misses += len(pending)
+        if self.jobs == 1 and len(pending) == 1:
             # Nothing to overlap; skip the pool entirely.
-            self._run_pending_inline(pending_up, pending_smp)
+            self._execute(pending[0][1])
             return
-        self._run_pending_pool(pending_up, pending_smp)
+        self._run_pool(pending)
 
-    def _run_pending_inline(self, pending_up, pending_smp) -> None:
-        for key, config, workload in pending_up:
-            self._log(f"  running {workload.name} on {config.name} ...")
-            started = time.perf_counter()
-            result = _run_up(config, workload)
-            self.stats.record_run(
-                f"{workload.name}@{config.name}",
-                time.perf_counter() - started,
-                None,
-            )
-            self._up_cache[key] = result
-            self._disk_store_up(key, result, workload)
-            self._mark_complete("up", key, f"{workload.name}@{config.name}")
-        for key, config, workload, cpu_count in pending_smp:
-            self._log(f"  running {workload.name} x{cpu_count}P on {config.name} ...")
-            started = time.perf_counter()
-            result = _run_smp(config, workload, cpu_count)
-            self.stats.record_run(
-                f"{workload.name}x{cpu_count}P@{config.name}",
-                time.perf_counter() - started,
-                None,
-            )
-            self._smp_cache[key] = result
-            self._disk_store_smp(key, result, workload)
-            self._mark_complete(
-                "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-            )
-
-    @staticmethod
-    def _label(kind: str, item) -> str:
-        if kind == "up":
-            _, config, workload = item
-            return f"{workload.name}@{config.name}"
-        _, config, workload, cpu_count = item
-        return f"{workload.name}x{cpu_count}P@{config.name}"
-
-    def _submit(self, pool: ProcessPoolExecutor, kind: str, item, attempt: int):
-        if kind == "up":
-            _, config, workload = item
-            return pool.submit(_up_worker, config, workload, attempt)
-        _, config, workload, cpu_count = item
-        return pool.submit(_smp_worker, config, workload, cpu_count, attempt)
-
-    def _run_pending_pool(self, pending_up, pending_smp) -> None:
+    def _run_pool(self, pending: List[Tuple[str, PendingRun]]) -> None:
         """Fan pending runs out over per-lane workers, with fault tolerance.
 
         The batch is dealt into lanes (:func:`_deal_lanes`) and each lane
@@ -678,19 +489,13 @@ class ParallelRunner(ExperimentRunner):
         A worker failure charges that run one attempt and re-submits it
         to its lane (after deterministic jittered backoff) until the
         policy's retry budget is spent; a watchdog expiry additionally
-        kills and respawns the workers, because a hung worker cannot be
-        cancelled.  Requests that were merely in flight on a worker that
-        had to be killed are re-queued without being charged an attempt.
+        kills and respawns that lane's worker, because a hung worker
+        cannot be cancelled.  Other lanes keep running.
         """
-        total = len(pending_up) + len(pending_smp)
-        lanes = _deal_lanes(
-            [("up", item) for item in pending_up]
-            + [("smp", item) for item in pending_smp],
-            self.jobs,
-        )
-        self._log(f"  fanning {total} runs out over {len(lanes)} workers ...")
-        #: future -> (lane, kind, item, attempt, deadline or None)
-        inflight: Dict[object, Tuple[int, str, Tuple, int, Optional[float]]] = {}
+        lanes = _deal_lanes(pending, self.jobs)
+        self._log(f"  fanning {len(pending)} runs out over {len(lanes)} workers ...")
+        #: future -> (lane, lane entry, deadline or None)
+        inflight: Dict[object, Tuple[int, LaneEntry, Optional[float]]] = {}
         done_count = 0
         try:
             while inflight or any(lanes):
@@ -698,17 +503,20 @@ class ParallelRunner(ExperimentRunner):
                 for lane, queue in enumerate(lanes):
                     if not queue or lane in busy:
                         continue
-                    kind, item, attempt = queue.popleft()
-                    future = self._submit(self._pool(lane), kind, item, attempt)
+                    entry = queue.popleft()
+                    _key, config, workload, cpus = entry[1]
+                    future = self._pools.submit(
+                        lane, _worker, config, workload, cpus, entry[2]
+                    )
                     deadline = (
                         time.monotonic() + self.policy.timeout
                         if self.policy.timeout
                         else None
                     )
-                    inflight[future] = (lane, kind, item, attempt, deadline)
+                    inflight[future] = (lane, entry, deadline)
 
                 deadlines = [
-                    meta[4] for meta in inflight.values() if meta[4] is not None
+                    meta[2] for meta in inflight.values() if meta[2] is not None
                 ]
                 wait_timeout = (
                     max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
@@ -718,80 +526,74 @@ class ParallelRunner(ExperimentRunner):
                 )
 
                 for future in finished:
-                    lane, kind, item, attempt, _deadline = inflight.pop(future)
+                    lane, entry, _deadline = inflight.pop(future)
                     try:
                         payload, pid, seconds = future.result()
                     except Exception as error:  # noqa: BLE001
                         # A dead pool stays dead; drop it so the lane's
                         # next submission builds a fresh one.
                         broken = isinstance(error, BrokenExecutor)
-                        if broken and self._discard_pool(lane):
+                        if broken and self._pools.discard(lane):
                             self.stats.pool_restarts += 1
-                        self._handle_failure(kind, item, attempt, error, lanes[lane])
+                        self._handle_failure(entry, error, lanes[lane])
                         continue
                     done_count += 1
-                    self._install(kind, item, payload, pid, seconds, done_count, total)
+                    run = entry[1]
+                    self._install(run, decode_result(payload, run[3]), seconds, pid)
+                    self._log(
+                        f"  [{done_count}/{len(pending)}] worker {pid} finished "
+                        f"{self._label(run)} in {seconds:.2f}s"
+                    )
 
                 if finished:
                     continue
 
-                # Nothing completed before the nearest deadline: check
-                # for expired runs and, if any, assume their workers are
-                # hung — kill the workers and re-drive everything.
+                # Nothing completed before the nearest deadline: a run
+                # past its deadline has a hung worker — kill that lane's
+                # worker and charge the run.
                 now = time.monotonic()
-                expired = [
-                    meta for meta in inflight.values()
-                    if meta[4] is not None and meta[4] <= now
-                ]
-                if not expired:
-                    continue
-                self._kill_pool()
-                for lane, kind, item, attempt, deadline in inflight.values():
-                    is_expired = deadline is not None and deadline <= now
-                    if is_expired:
-                        self.stats.timeouts += 1
-                        self._log(
-                            f"  watchdog: {self._label(kind, item)} exceeded "
-                            f"{self.policy.timeout:.1f}s; killing worker pool"
-                        )
-                        self._handle_failure(
-                            kind,
-                            item,
-                            attempt,
-                            TimeoutError(
-                                f"run exceeded {self.policy.timeout}s wall-clock"
-                            ),
-                            lanes[lane],
-                        )
-                    else:
-                        # Collateral of the kill: not this run's fault,
-                        # so its attempt budget is untouched.
-                        lanes[lane].appendleft((kind, item, attempt))
-                inflight.clear()
+                for future, (lane, entry, deadline) in list(inflight.items()):
+                    if deadline is None or deadline > now:
+                        continue
+                    del inflight[future]
+                    self._pools.kill(lane)
+                    self.stats.pool_restarts += 1
+                    self.stats.timeouts += 1
+                    self._log(
+                        f"  watchdog: {self._label(entry[1])} exceeded "
+                        f"{self.policy.timeout:.1f}s; killing its worker"
+                    )
+                    self._handle_failure(
+                        entry,
+                        TimeoutError(f"run exceeded {self.policy.timeout}s wall-clock"),
+                        lanes[lane],
+                    )
         except ExperimentError:
             raise
         except Exception as error:  # noqa: BLE001
-            # Pool-level failure (e.g. the executor itself cannot start,
-            # or it broke mid-batch): discard it and rerun whatever was
-            # never installed, in-process.
-            self._discard_pool()
+            # Pool-level failure (e.g. an executor cannot start): discard
+            # the pools and rerun whatever was never installed, in-process.
+            self._pools.discard()
             self._log(f"  worker pool failed ({error!r}); completing in-process")
-            leftovers_up = [
-                item for item in pending_up
-                if item[0] not in self._up_cache
-                and not self._is_skipped("up", item[0])
+            leftovers = [
+                run for _, run in pending
+                if run[0] not in self._results and run[0] not in self._skipped
             ]
-            leftovers_smp = [
-                item for item in pending_smp
-                if item[0] not in self._smp_cache
-                and not self._is_skipped("smp", item[0])
-            ]
-            self.stats.worker_fallbacks += len(leftovers_up) + len(leftovers_smp)
-            self._run_pending_inline(leftovers_up, leftovers_smp)
+            self.stats.worker_fallbacks += len(leftovers)
+            for run in leftovers:
+                self._execute(run)
 
-    def _handle_failure(self, kind, item, attempt, error, queue) -> None:
+    @staticmethod
+    def _label(run: PendingRun) -> str:
+        _key, config, workload, cpus = run
+        return run_label(workload.name, config.name, cpus)
+
+    def _handle_failure(
+        self, entry: LaneEntry, error: BaseException, queue: Deque[LaneEntry]
+    ) -> None:
         """One run failed (crash, raise, or timeout): retry or give up."""
-        label = self._label(kind, item)
+        kind, run, attempt = entry
+        label = self._label(run)
         next_attempt = attempt + 1
         if next_attempt <= self.policy.retries:
             self.stats.retries += 1
@@ -802,49 +604,29 @@ class ParallelRunner(ExperimentRunner):
             )
             if delay > 0:
                 time.sleep(delay)
-            queue.append((kind, item, next_attempt))
+            queue.append((kind, run, next_attempt))
             return
         # Retry budget exhausted: apply the policy.
         if self.policy.on_failure == "fail":
             raise ExperimentError(
                 f"{label} failed after {next_attempt} attempts: {error!r}"
-            ) from (error if isinstance(error, BaseException) else None)
+            ) from error
         if self.policy.on_failure == "skip":
             self.stats.skipped.append(label)
-            self._skipped.add((kind, item[0]))
+            self._skipped.add(run[0])
             self._log(f"  giving up on {label} ({error!r}); recorded as skipped")
             return
         # Default policy: last-resort rerun in the parent process, which
         # is observable and interruptible (no timeout applies there).
         self.stats.worker_fallbacks += 1
         self._log(f"  worker failed on {label} ({error!r}); rerunning in-process")
-        if kind == "up":
-            self._run_pending_inline([item], [])
-        else:
-            self._run_pending_inline([], [item])
-
-    def _install(
-        self, kind, item, payload, pid, seconds, done_count, total
-    ) -> None:
-        if kind == "up":
-            key, config, workload = item
-            result = sim_result_from_dict(payload)
-            label = f"{workload.name}@{config.name}"
-            self._up_cache[key] = result
-            self._disk_store_up(key, result, workload)
-            self._mark_complete("up", key, label)
-        else:
-            key, config, workload, cpu_count = item
-            result = SmpResult.from_dict(payload)
-            label = f"{workload.name}x{cpu_count}P@{config.name}"
-            self._smp_cache[key] = result
-            self._disk_store_smp(key, result, workload)
-            self._mark_complete("smp", key, label)
-        self.stats.record_run(label, seconds, pid)
-        self._log(
-            f"  [{done_count}/{total}] worker {pid} finished {label} "
-            f"in {seconds:.2f}s"
-        )
+        try:
+            self._execute(run)
+        except Exception as final_error:  # noqa: BLE001
+            raise ExperimentError(
+                f"{label} failed in-process after {next_attempt} worker "
+                f"attempts: {final_error!r}"
+            ) from final_error
 
     def summary(self) -> str:
         """One-line observability summary (cache + execution counters)."""

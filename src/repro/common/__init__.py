@@ -5,7 +5,6 @@ error types, deterministic random-number helpers and unit conversions.
 """
 
 from repro.common.errors import (
-    CampaignError,
     ConfigError,
     ExperimentError,
     InjectedFault,
@@ -24,7 +23,6 @@ from repro.common.units import (
 )
 
 __all__ = [
-    "CampaignError",
     "ConfigError",
     "ExperimentError",
     "InjectedFault",

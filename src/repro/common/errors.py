@@ -38,19 +38,11 @@ class ExperimentError(ReproError):
     """An experiment run failed permanently in the harness.
 
     Raised by :class:`~repro.analysis.runner.ParallelRunner` when a run
-    exhausts its retry budget under the ``fail`` policy, or when a
-    result is requested for a run that the ``skip`` policy recorded as
-    abandoned.  The message always names the (workload, config) pair so
+    exhausts its retry budget under the ``fail`` policy, when the
+    ``retry`` policy's last-resort in-process rerun fails as well, or
+    when a result is requested for a run that the ``skip`` policy
+    recorded as abandoned.  The message always names the (workload, config) pair so
     a campaign log points straight at the offending run.
-    """
-
-
-class CampaignError(ReproError):
-    """A sweep/figure campaign manifest is unusable.
-
-    Distinct from :class:`ExperimentError`: the runs themselves may be
-    fine, but the resume bookkeeping (manifest file) cannot be trusted —
-    e.g. it was written by an incompatible version.
     """
 
 

@@ -24,6 +24,13 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.runner import (
+    result_meta,
+    run_key,
+    run_label,
+    simulate,
+    store_key,
+)
 from repro.analysis.workloads import (
     DEFAULT_SEED,
     DEFAULT_TIMED,
@@ -89,25 +96,25 @@ def spec_workload(spec: dict) -> Workload:
     )
 
 
+def spec_cpus(spec: dict) -> Optional[int]:
+    """The CPU count of an SMP spec; None for a uniprocessor spec."""
+    kind = spec.get("kind", "up")
+    if kind not in ("up", "smp"):
+        raise ServiceError(f"job spec has unknown kind {kind!r}")
+    return int(spec["cpus"]) if kind == "smp" else None
+
+
 def spec_label(spec: dict) -> str:
-    """Human-readable run label, matching the ParallelRunner convention
-    (``workload@config`` / ``workloadxNP@config``) so ``REPRO_FAULTS``
-    ``match=`` patterns target service runs and runner runs alike."""
-    config_name = spec_config(spec).name
-    if spec.get("kind") == "smp":
-        return f"{spec['workload']}x{spec['cpus']}P@{config_name}"
-    return f"{spec['workload']}@{config_name}"
+    """The run label :class:`ParallelRunner` gives the same point, so
+    ``REPRO_FAULTS`` ``match=`` patterns target service runs and runner
+    runs alike."""
+    return run_label(spec["workload"], spec_config(spec).name, spec_cpus(spec))
 
 
 def spec_key(spec: dict, cache: ResultCache) -> str:
     """The job's identity: exactly the result-cache key of the run."""
-    config = spec_config(spec)
-    workload = spec_workload(spec)
-    if spec.get("kind") == "smp":
-        return cache.key(
-            "smp", config.content_hash(), workload.cache_key(), int(spec["cpus"])
-        )
-    return cache.key("up", config.content_hash(), workload.cache_key())
+    key = run_key(spec_config(spec), spec_workload(spec), spec_cpus(spec))
+    return store_key(cache, key)
 
 
 def execute_spec(spec: dict) -> Tuple[dict, dict]:
@@ -117,22 +124,7 @@ def execute_spec(spec: dict) -> Tuple[dict, dict]:
     so entries produced by the service are indistinguishable from
     entries produced by a local sweep — ``repro analyze`` renders both.
     """
-    from repro.analysis.runner import _run_smp, _run_up
-
-    kind = spec.get("kind", "up")
-    if kind not in ("up", "smp"):
-        raise ServiceError(f"job spec has unknown kind {kind!r}")
-    config = spec_config(spec)
+    cpus = spec_cpus(spec)
     workload = spec_workload(spec)
-    if kind == "smp":
-        cpus = int(spec["cpus"])
-        result = _run_smp(config, workload, cpus)
-        meta = {
-            "config": result.config_name,
-            "workload": workload.name,
-            "cpus": cpus,
-        }
-    else:
-        result = _run_up(config, workload)
-        meta = {"config": result.config_name, "workload": workload.name}
-    return result.to_dict(), meta
+    result = simulate(spec_config(spec), workload, cpus)
+    return result.to_dict(), result_meta(result, workload.name, cpus)

@@ -28,10 +28,10 @@ the service advertises:
   it wrote itself are tagged with a per-instance ``src`` id and
   skipped).
 
-Torn final lines (a writer crash) are sealed and dropped exactly like
-:class:`~repro.analysis.campaign.CampaignManifest` does, and a journal
-written by a different simulator version is quarantined (``*.stale``)
-because its content-hash keys are unreachable anyway.
+Torn final lines (a writer crash) are sealed by the next append and
+dropped on replay, and a journal written by a different simulator
+version is quarantined (``*.stale``) because its content-hash keys are
+unreachable anyway.
 
 The queue never runs simulations itself; result payloads live in the
 content-addressed :class:`~repro.analysis.cache.ResultCache`, keeping

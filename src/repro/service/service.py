@@ -1,8 +1,9 @@
 """Crash-safe campaign service: durable queue + worker pool + store.
 
 :class:`CampaignService` is the coordinator that turns the durable
-:class:`~repro.service.queue.JobQueue`, the process pool patterns of
-:class:`~repro.analysis.runner.ParallelRunner`, and the atomic
+:class:`~repro.service.queue.JobQueue`, the per-lane worker pools
+:class:`~repro.analysis.runner.ParallelRunner` also uses
+(:class:`~repro.analysis.pools.LanePools`), and the atomic
 :class:`~repro.analysis.cache.ResultCache` into a resilient campaign
 executor:
 
@@ -10,11 +11,13 @@ executor:
   by result-cache content hash; duplicates single-flight, cached points
   complete instantly without touching the pool;
 - **serve** — a scheduler loop claims jobs under time-bounded leases,
-  fans them out over worker processes, and renews each lease while its
-  worker is making progress.  A worker that dies (``BrokenExecutor``),
-  raises, or exceeds the policy timeout is charged one attempt and the
-  job requeued with deterministic backoff — exactly the
-  :class:`~repro.analysis.policy.RunPolicy` semantics sweeps use;
+  dispatches each to a free lane (one worker process per lane), and
+  renews each lease while its worker is making progress.  A worker that
+  dies (``BrokenExecutor``), raises, or exceeds the policy timeout is
+  charged one attempt and the job requeued with deterministic backoff —
+  exactly the :class:`~repro.analysis.policy.RunPolicy` semantics sweeps
+  use.  A crash or a watchdog kill touches only that run's lane, so the
+  jobs on other lanes finish undisturbed;
 - **orphans** — a job whose lease expires while its worker is *still
   running* (injected expiry, stalled heartbeats, a slow machine) is
   requeued immediately; if the orphaned worker finishes anyway its
@@ -37,18 +40,14 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.policy import RunPolicy
+from repro.analysis.pools import LanePools
 from repro.common import faults
 from repro.common.errors import ExperimentError, QueueFull, ServiceError
 from repro.service.jobs import (
@@ -75,12 +74,17 @@ def _service_worker(
     """
     faults.worker_fault(spec_label(spec), attempt)
     started = time.perf_counter()
+    key = _execute_and_store(spec, attempt, ResultCache(cache_dir))
+    return key, os.getpid(), time.perf_counter() - started
+
+
+def _execute_and_store(spec: dict, attempt: int, cache: ResultCache) -> str:
+    """Simulate one job spec into ``cache``; returns its key."""
     with faults.attempt_scope(attempt):
         payload, meta = execute_spec(spec)
-        cache = ResultCache(cache_dir)
         key = spec_key(spec, cache)
         cache.store(key, payload, meta=meta)
-    return key, os.getpid(), time.perf_counter() - started
+    return key
 
 
 @dataclass
@@ -92,6 +96,7 @@ class _Flight:
     spec: dict
     attempt: int
     started: float  # time.monotonic at dispatch
+    lane: int
 
 
 @dataclass
@@ -150,7 +155,7 @@ class CampaignService:
         self.poll_interval = poll_interval
         self.stats = ServiceStats()
         self.worker_id = f"svc-{os.getpid()}"
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._pools = LanePools()
         #: future -> flight for leased, in-flight work.
         self._inflight: Dict[object, _Flight] = {}
         #: future -> flight for work whose lease already expired.
@@ -167,34 +172,10 @@ class CampaignService:
         if self.verbose:
             print(message)
 
-    # -- pool ------------------------------------------------------------
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def _discard_pool(self) -> bool:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            return True
-        return False
-
-    def _kill_pool(self) -> None:
-        """Hard-kill every worker (a hung worker cannot be cancelled)."""
-        executor = self._executor
-        if executor is None:
-            return
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:  # noqa: BLE001 - already-dead workers
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
-        self.stats.pool_restarts += 1
+    def _drop_broken_lane(self, lane: int, error: BaseException) -> None:
+        """A crashed worker leaves its lane's pool dead: drop it."""
+        if isinstance(error, BrokenExecutor) and self._pools.discard(lane):
+            self.stats.pool_restarts += 1
 
     # -- submission ------------------------------------------------------
 
@@ -239,45 +220,35 @@ class CampaignService:
     def _lease_upkeep(self) -> None:
         """Renew healthy leases; reclaim hung and expired work.
 
-        A flight past the policy timeout is *hung*: stop renewing,
-        kill the pool (a wedged worker cannot be cancelled), charge the
-        hung runs an attempt, and requeue the collateral uncharged —
-        mirroring the ParallelRunner watchdog.  A flight whose lease
+        A flight past the policy timeout is *hung*: stop renewing, kill
+        its lane's worker (a wedged worker cannot be cancelled) and
+        charge the run an attempt — mirroring the ParallelRunner
+        watchdog; other lanes keep running.  A flight whose lease
         expired without being hung (injected expiry, stalled heartbeat)
         becomes an *orphan*: its job requeues immediately, but the
         worker keeps running and its late result is accepted
         idempotently if it wins the race.
         """
         now_mono = time.monotonic()
-        hung: Set[object] = set()
-        for future, flight in self._inflight.items():
+        for future, flight in list(self._inflight.items()):
             if (
-                self.policy.timeout is not None
-                and now_mono - flight.started > self.policy.timeout
+                self.policy.timeout is None
+                or now_mono - flight.started <= self.policy.timeout
             ):
-                hung.add(future)
-            else:
                 self.queue.heartbeat(flight.key)
-        if hung:
-            self._kill_pool()
-            for future, flight in list(self._inflight.items()):
-                if future in hung:
-                    self.stats.timeouts += 1
-                    self._log(
-                        f"  watchdog: {flight.label} exceeded "
-                        f"{self.policy.timeout:.1f}s; killing worker pool"
-                    )
-                    self._fail(
-                        flight,
-                        TimeoutError(
-                            f"run exceeded {self.policy.timeout}s wall-clock"
-                        ),
-                    )
-                else:
-                    # Collateral of the pool kill: requeue uncharged.
-                    self.queue.release(flight.key, "pool-restart")
-            self._inflight.clear()
-            return
+                continue
+            del self._inflight[future]
+            self._pools.kill(flight.lane)
+            self.stats.pool_restarts += 1
+            self.stats.timeouts += 1
+            self._log(
+                f"  watchdog: {flight.label} exceeded "
+                f"{self.policy.timeout:.1f}s; killing its worker"
+            )
+            self._fail(
+                flight,
+                TimeoutError(f"run exceeded {self.policy.timeout}s wall-clock"),
+            )
         expired = set(self.queue.expire_leases())
         if not expired:
             return
@@ -289,8 +260,10 @@ class CampaignService:
                 del self._inflight[future]
 
     def _dispatch(self) -> None:
-        """Claim ready jobs up to pool capacity and fan them out."""
-        while len(self._inflight) < self.jobs:
+        """Claim ready jobs, one per lane with no in-flight or orphaned run."""
+        busy = {f.lane for f in [*self._inflight.values(), *self._orphans.values()]}
+        free = [lane for lane in range(self.jobs) if lane not in busy]
+        while free:
             job = self.queue.claim(self.worker_id)
             if job is None:
                 return
@@ -301,24 +274,17 @@ class CampaignService:
                 self._note_recovered(job.key)
                 self._log(f"  [cache] {job.label}")
                 continue
-            try:
-                future = self._pool().submit(
-                    _service_worker, job.spec, job.attempts, self._cache_dir
-                )
-            except BrokenExecutor:
-                # The pool broke under an earlier crash and _collect has
-                # not reaped it yet: requeue this claim uncharged and
-                # let the next tick build a fresh pool.
-                if self._discard_pool():
-                    self.stats.pool_restarts += 1
-                self.queue.release(job.key, "pool-broken")
-                return
+            lane = free.pop(0)
+            future = self._pools.submit(
+                lane, _service_worker, job.spec, job.attempts, self._cache_dir
+            )
             self._inflight[future] = _Flight(
                 key=job.key,
                 label=job.label,
                 spec=job.spec,
                 attempt=job.attempts,
                 started=time.monotonic(),
+                lane=lane,
             )
             self.stats.dispatched += 1
             self._log(
@@ -350,15 +316,8 @@ class CampaignService:
     def _finish(self, flight: _Flight, future) -> None:
         try:
             key, pid, seconds = future.result()
-        except BrokenExecutor as error:
-            # The whole pool died (a worker crashed hard); every other
-            # in-flight future will raise the same way and be charged —
-            # matching the ParallelRunner precedent.
-            if self._discard_pool():
-                self.stats.pool_restarts += 1
-            self._fail(flight, error)
-            return
-        except Exception as error:  # noqa: BLE001 - worker raised
+        except Exception as error:  # noqa: BLE001 - worker raised or died
+            self._drop_broken_lane(flight.lane, error)
             self._fail(flight, error)
             return
         if self.cache.load(key) is None:
@@ -382,7 +341,8 @@ class CampaignService:
         """
         try:
             key, pid, _seconds = future.result()
-        except Exception:  # noqa: BLE001
+        except Exception as error:  # noqa: BLE001
+            self._drop_broken_lane(flight.lane, error)
             return
         job = self.queue.jobs.get(key)
         if job is None or job.state == DONE:
@@ -434,9 +394,7 @@ class CampaignService:
         self.stats.in_process_fallbacks += 1
         self._log(f"  worker failed on {flight.label} ({error!r}); running in-process")
         try:
-            with faults.attempt_scope(job.attempts):
-                payload, meta = execute_spec(flight.spec)
-                self.cache.store(flight.key, payload, meta=meta)
+            _execute_and_store(flight.spec, job.attempts, self.cache)
         except Exception as final_error:  # noqa: BLE001
             raise ExperimentError(
                 f"{flight.label} failed in-process after {next_attempt} "
@@ -535,7 +493,7 @@ class CampaignService:
         return ", ".join(parts)
 
     def close(self) -> None:
-        self._discard_pool()
+        self._pools.discard()
         self.queue.close()
 
     def __enter__(self) -> "CampaignService":

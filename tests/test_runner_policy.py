@@ -8,6 +8,7 @@ Timeout and crash *recovery* paths live in ``test_fault_injection.py``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from repro.analysis.policy import RunPolicy
 from repro.analysis.runner import ParallelRunner
 from repro.analysis.workloads import Workload, workload_by_name
-from repro.common.errors import ConfigError, ExperimentError
-from repro.model.config import base_config
+from repro.common.errors import ConfigError, ExperimentError, SimulationError
+from repro.model.config import base_config, l2_off_8m_1w, l2_off_8m_2w
 
 WARM = 2_000
 TIMED = 800
@@ -105,6 +106,20 @@ def _poisoned_workload():
     )
 
 
+#: Pids that called :meth:`_AlwaysRaises.trace`; workers append to
+#: their own copy, so the parent's copy counts in-process attempts.
+_raising_calls = []
+
+
+@dataclass
+class _AlwaysRaises(Workload):
+    """Raises :class:`SimulationError` from :meth:`trace` in every process."""
+
+    def trace(self):
+        _raising_calls.append(os.getpid())
+        raise SimulationError("simulation always fails")
+
+
 def _fast_policy(**kwargs) -> RunPolicy:
     return RunPolicy(backoff_base=0.01, backoff_max=0.05, **kwargs)
 
@@ -156,3 +171,36 @@ class TestFailurePolicies:
         assert runner.stats.retries == 2
         assert runner.stats.worker_fallbacks == 1
         assert runner.stats.runs_in_process == 1
+
+    def test_failed_in_process_fallback_names_the_run(self, tmp_path):
+        """A last-resort rerun that fails too ends the batch with a typed
+        error naming the run: one worker attempt, one in-process rerun,
+        and no second pass over the batch as if the pool had broken."""
+        healthy = workload_by_name("SPECint95", warm=WARM, timed=TIMED)
+        poisoned = _AlwaysRaises(
+            name="poisoned",
+            profile=healthy.profile,
+            seed=healthy.seed,
+            warm_instructions=healthy.warm_instructions,
+            timed_instructions=healthy.timed_instructions,
+        )
+        workloads = [healthy, workload_by_name("TPC-C", warm=WARM, timed=TIMED)]
+        configs = [base_config(), l2_off_8m_2w(), l2_off_8m_1w()]
+        batch = [(c, w) for c in configs for w in workloads]
+        batch[-1] = (base_config(), poisoned)
+        _raising_calls.clear()
+        runner = ParallelRunner(
+            jobs=2,
+            cache_dir=str(tmp_path),
+            policy=_fast_policy(retries=0, on_failure="retry"),
+        )
+        try:
+            with pytest.raises(
+                ExperimentError,
+                match=r"poisoned@SPARC64-V failed in-process after 1 worker attempts",
+            ):
+                runner.prefetch(up=batch)
+        finally:
+            runner.close()
+        assert _raising_calls == [os.getpid()]
+        assert runner.stats.worker_fallbacks == 1

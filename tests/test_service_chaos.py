@@ -90,9 +90,8 @@ class TestChaosBitIdentity:
         service.run()
         counts = service.queue.counts()
         assert counts["done"] == 2 and counts["dead"] == 0
-        # The storm actually happened.  (The hang may be reaped either
-        # by the watchdog or as collateral of the crash's pool break —
-        # both are charged failures.)
+        # The storm actually happened: the crash and the watchdog's
+        # kill of the hung worker each charged a failure.
         assert service.queue.stats.failures >= 2
         assert service.stats.pool_restarts >= 1
         for name, key in keys.items():
@@ -147,6 +146,26 @@ class TestChaosBitIdentity:
         # The atomic protocol leaves no half-written .json entries ever;
         # at most an orphaned temp file from the killed worker remains.
         assert service.cache.stats.corrupt == 0
+        service.close()
+
+
+class TestLaneIsolation:
+    def test_one_crashed_worker_is_charged_alone(self, tmp_path):
+        """Each in-flight job runs on its own lane, so a worker crash
+        breaks only that lane: the sibling job finishes on its first
+        attempt and exactly one failure is charged."""
+        faults.install_spec("worker-crash,times=1,match=SPECint95")
+        service = _service(tmp_path)
+        crashed = service.submit_point("SPECint95", warm=WARM, timed=TIMED)
+        sibling = service.submit_point("SPECfp95", warm=WARM, timed=TIMED)
+        service.run()
+        assert service.stats.dispatched == 3
+        assert service.queue.stats.failures == 1
+        assert service.queue.jobs[crashed].attempts == 1
+        assert service.queue.jobs[sibling].attempts == 0
+        assert service.queue.counts()["done"] == 2
+        assert _service_stats(service, crashed) == _serial_stats("SPECint95")
+        assert _service_stats(service, sibling) == _serial_stats("SPECfp95")
         service.close()
 
 
